@@ -3,7 +3,8 @@
 Guards the :class:`~repro.scoring.CascadeScorer` hot-path contract:
 
 * with a linear predictor and an explicit score floor, cascaded scoring of a
-  serving-shaped candidate chunk must beat the uncascaded scalar path by at
+  serving-shaped candidate chunk must beat the uncascaded path (mode
+  ``"off"``: the same batched extraction, every candidate scored) by at
   least :data:`REQUIRED_SPEEDUP`× (medians over per-query chunks),
 * the bound pruning must actually engage (nonzero prune rate — a cascade
   that never prunes is just overhead), and
@@ -126,6 +127,6 @@ def test_cascade_scoring_speedup(pipeline, query_chunks, emit):
     )
     assert stats["pruned_at_bound"] > 0, "bound pruning never engaged"
     assert speedup >= REQUIRED_SPEEDUP, (
-        f"cascaded scoring is only {speedup:.2f}x faster than the scalar path "
+        f"cascaded scoring is only {speedup:.2f}x faster than the uncascaded path "
         f"(required {REQUIRED_SPEEDUP:.0f}x at floor {SCORE_FLOOR})"
     )

@@ -284,12 +284,6 @@ def _build_parser() -> argparse.ArgumentParser:
     index_query.add_argument("--record-file", default=None, help="JSON file holding the record object")
     index_query.add_argument("--top-k", type=int, default=None, help="return only the k highest scores")
     index_query.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="processes for shard fan-out on a multi-shard artifact (default: in-process)",
-    )
-    index_query.add_argument(
         "--cascade",
         choices=["off", "on", "auto"],
         default=None,
@@ -646,10 +640,10 @@ def _command_match(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_index(path: str, query_jobs: int = 1):
+def _load_index(path: str):
     from .index import MatchIndex
 
-    return MatchIndex.load(path, query_jobs=query_jobs)
+    return MatchIndex.load(path)
 
 
 def _stream_jsonl_batches(path: str, batch_size: int):
@@ -810,7 +804,7 @@ def _command_index_query(args: argparse.Namespace) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    index = _load_index(args.index, query_jobs=args.jobs)
+    index = _load_index(args.index)
     if args.cascade is not None:
         index.set_cascade_mode(args.cascade)
     trace_tree = None
@@ -822,7 +816,6 @@ def _command_index_query(args: argparse.Namespace) -> int:
         trace_tree = root.to_dict()
     else:
         scores = index.query(record, top_k=args.top_k, min_score=args.min_score)
-    index.close()
     if args.json:
         payload = {
             "index": args.index,

@@ -113,8 +113,8 @@ class IndexConfig:
         Hash partitions of the band index.  Query results are bit-identical
         for every value (candidates are a shard-order-free union); raising it
         buys smaller per-shard posting files (in-place saves rewrite only
-        dirty shards) and parallel fan-out for very large corpora.  Keep the
-        default of 1 until the corpus approaches millions of records.
+        dirty shards).  Keep the default of 1 until the corpus approaches
+        millions of records.
     resolve_min_score:
         Default ``min_score`` of :meth:`~repro.index.MatchIndex.resolve`:
         pairs must be predicted matches scoring at least this to be merged
@@ -222,12 +222,12 @@ class CascadeConfig:
     Attributes
     ----------
     mode:
-        ``"auto"`` (default): staged extraction (cheap feature columns
-        first, expensive ones through the batched kernels) always runs;
-        provable bound-pruning additionally engages whenever the caller
-        supplies an explicit score floor (``min_score``) and the trained
-        predictor is a sign-analyzable linear model.  Output is always
-        bit-identical to ``"off"`` for the same arguments.
+        ``"auto"`` (default): features always come from the batched
+        kernels; staging (cheap feature columns first, expensive ones only
+        for survivors) and provable bound-pruning engage whenever the
+        caller supplies an explicit score floor (``min_score``) and the
+        trained predictor is a sign-analyzable linear model.  Output is
+        always bit-identical to ``"off"`` for the same arguments.
 
         ``"on"``: like ``"auto"``, but the learner's own acceptance
         threshold also acts as an implicit floor — candidates the linear
@@ -235,8 +235,9 @@ class CascadeConfig:
         (match-only serving).  Accepted pairs and survivor scores remain
         bit-identical to the uncascaded path.
 
-        ``"off"``: the legacy scalar extraction path, no staging, no
-        counters.
+        ``"off"``: staged extraction, no pruning — every candidate's
+        features come from one batched extraction and every candidate is
+        scored, whatever the floor.
     """
 
     mode: str = "auto"

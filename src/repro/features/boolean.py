@@ -93,5 +93,9 @@ class BooleanFeatureExtractor:
             return np.zeros((0, self.dim))
         return np.vstack([self.extract_pair(pair) for pair in pairs])
 
+    def cache_size(self) -> int:
+        """Entries held in the similarity cache."""
+        return len(self._value_cache)
+
     def clear_cache(self) -> None:
         self._value_cache.clear()

@@ -1,14 +1,17 @@
 """Continuous similarity-based feature extraction.
 
-The hot path is :meth:`FeatureExtractor.extract`: for P candidate pairs,
-A matched attributes and K similarity functions it fills a dense (P × A·K)
-matrix.  Extraction is batched column-wise — for each attribute, the P value
-pairs are deduplicated and each similarity function is applied once per
-*unique* value pair, with the resulting K-vector scattered to every row
-sharing that value pair.  Since real tables repeat attribute values heavily
-(brands, venues, years), this does far less similarity work than the naive
-pair-at-a-time loop, while producing bit-identical output (see the
-batch-vs-scalar equivalence test).
+For P candidate pairs, A matched attributes and K similarity functions the
+extractor fills a dense (P × A·K) matrix.  There is one extraction path,
+:class:`PartialExtraction`: per attribute, the P value pairs are grouped by
+their distinct normalized values, each similarity function runs once per
+*unique* value pair through the batched kernels of
+:mod:`repro.similarity.batch_kernels`, and the results are scattered to
+every row sharing that value pair.  :meth:`FeatureExtractor.extract` fills
+every column at once; the score cascade fills the cheap columns first and
+the expensive ones only for the rows that survive its bound.  Since real
+tables repeat attribute values heavily (brands, venues, years), this does
+far less similarity work than a pair-at-a-time loop, while producing
+bit-identical output (see the batch-vs-scalar oracle tests).
 """
 
 from __future__ import annotations
@@ -121,17 +124,21 @@ class FeatureExtractor:
     Following the paper, when one or both attribute values of a pair are
     missing the similarity evaluates to 0 regardless of the function.
 
-    Two memoization layers make repeated extraction cheap:
+    Three memoization caches make repeated extraction cheap:
 
     * a normalization cache (raw attribute string → normalized string), so
       each distinct raw value is lower-cased/whitespace-collapsed once per
-      extractor lifetime rather than once per pair, and
-    * a value-pair cache (normalized value pair → K-vector of similarities),
-      so repeated value pairs (brands, venues, years) are scored once per
-      dataset.
+      extractor lifetime rather than once per pair,
+    * a value-pair cache (normalized value pair → K-vector of
+      similarities), so repeated value pairs (brands, venues, years) are
+      scored once per dataset.  A vector may be partly filled — NaN marks a
+      similarity not yet computed, which is how the cascade's cheap-first
+      fills and later full fills share one entry, and
+    * a bound cache (normalized value pair → upper bounds of the expensive
+      columns), read by the cascade's pruning stage.
 
-    Both caches persist across :meth:`extract` calls; :meth:`clear_cache`
-    drops them.
+    The caches persist across :meth:`extract` calls; :meth:`cache_size`
+    counts their entries and :meth:`clear_cache` drops them.
     """
 
     def __init__(
@@ -150,13 +157,9 @@ class FeatureExtractor:
             for column in self.matched_columns
             for function in self.similarity_suite
         ]
-        # Cache of normalized-value-pair → similarity vector, so repeated
-        # values (brands, venues, years) are only scored once per dataset.
+        # Normalized value pair → similarity vector, NaN where not yet
+        # computed.  NaN is a safe sentinel: similarities live in [0, 1].
         self._value_cache: dict[tuple[str, str], np.ndarray] = {}
-        # Partially computed vectors (NaN = not yet computed) produced by
-        # the partial-column extraction path; promoted to _value_cache once
-        # complete.  NaN is a safe sentinel: similarities live in [0, 1].
-        self._partial_cache: dict[tuple[str, str], np.ndarray] = {}
         # Cache of normalized-value-pair → per-expensive-column upper bounds.
         self._bound_cache: dict[tuple[str, str], np.ndarray] = {}
         # Cache of raw value → normalized value, shared across attributes.
@@ -208,109 +211,29 @@ class FeatureExtractor:
             cached = self._norm_cache[value] = normalize(value)
         return cached
 
-    def _similarities_normalized(self, left_value: str, right_value: str) -> np.ndarray:
-        """K-vector of suite similarities for two *normalized* values.
-
-        Missing values (either side empty) score 0 everywhere, per the paper.
-        Results are memoized per value pair; O(K × similarity cost) on a cache
-        miss, O(1) on a hit.
-        """
-        if not left_value or not right_value:
-            return np.zeros(len(self.similarity_suite))
-        key = (left_value, right_value)
-        cached = self._value_cache.get(key)
-        if cached is not None:
-            return cached
-        partial = self._partial_cache.pop(key, None)
-        if partial is None:
-            values = np.array(
-                [function(left_value, right_value) for function in self.similarity_suite]
-            )
-        else:
-            # Complete a vector the partial-extraction path started.
-            values = partial
-            for index in np.flatnonzero(np.isnan(values)):
-                values[index] = float(
-                    self.similarity_suite[index](left_value, right_value)
-                )
-        self._value_cache[key] = values
-        return values
-
-    def _attribute_similarities(self, left_value: str, right_value: str) -> np.ndarray:
-        """K-vector of suite similarities for two *raw* attribute values."""
-        return self._similarities_normalized(
-            self._normalize_cached(left_value), self._normalize_cached(right_value)
-        )
-
-    def extract_pair(self, pair: CandidatePair) -> np.ndarray:
-        """Feature vector (length ``dim``) for a single candidate pair.
-
-        The scalar reference path; :meth:`extract` produces identical rows
-        batch-wise and is the one to use for many pairs.
-        """
-        blocks = [
-            self._attribute_similarities(pair.left.value(column), pair.right.value(column))
-            for column in self.matched_columns
-        ]
-        return np.concatenate(blocks)
-
     def extract(self, pairs: list[CandidatePair]) -> FeatureMatrix:
         """Feature matrix for a list of candidate pairs (rows in input order).
 
-        Batched column-wise: per attribute, the P value pairs are grouped by
-        their (normalized) distinct values, each similarity function runs once
-        per unique value pair, and the resulting K-vector is scattered to all
-        rows sharing it.  Complexity is O(U × K) similarity evaluations for U
-        unique value pairs (U ≤ P, typically U ≪ P) plus O(P × dim) scatter —
-        identical output to calling :meth:`extract_pair` per pair.
+        Fills every column of one :class:`PartialExtraction`: O(U × K)
+        similarity evaluations for U unique value pairs not yet cached
+        (U ≤ P, typically U ≪ P) plus O(P × dim) scatter.
         """
-        if not pairs:
-            return FeatureMatrix(
-                pairs=[], matrix=np.zeros((0, self.dim)), descriptors=list(self.descriptors)
-            )
-        n_pairs = len(pairs)
-        suite_size = len(self.similarity_suite)
-        matrix = np.empty((n_pairs, self.dim))
-        for column_index, column in enumerate(self.matched_columns):
-            groups: dict[tuple[str, str], list[int]] = {}
-            for row, pair in enumerate(pairs):
-                key = (
-                    self._normalize_cached(pair.left.value(column)),
-                    self._normalize_cached(pair.right.value(column)),
-                )
-                group = groups.get(key)
-                if group is None:
-                    groups[key] = [row]
-                else:
-                    group.append(row)
-            block = np.empty((n_pairs, suite_size))
-            for (left_value, right_value), rows in groups.items():
-                block[rows, :] = self._similarities_normalized(left_value, right_value)
-            matrix[:, column_index * suite_size : (column_index + 1) * suite_size] = block
-
+        plan = self.begin_partial(pairs)
+        plan.fill_all()
         labels = None
-        if all(pair.label is not None for pair in pairs):
+        if pairs and all(pair.label is not None for pair in pairs):
             labels = np.array([pair.label for pair in pairs], dtype=np.int64)
         return FeatureMatrix(
-            pairs=list(pairs), matrix=matrix, descriptors=list(self.descriptors), labels=labels
+            pairs=plan.pairs, matrix=plan.matrix, descriptors=list(self.descriptors), labels=labels
         )
 
-    def _partial_vector(self, key: tuple[str, str]) -> np.ndarray:
-        """Similarity vector for a normalized pair, possibly NaN-holed.
-
-        Returns the complete cached vector when available, otherwise a
-        (shared, mutable) partially-filled vector whose NaN entries mark
-        similarities not yet computed.
-        """
-        cached = self._value_cache.get(key)
-        if cached is not None:
-            return cached
-        partial = self._partial_cache.get(key)
-        if partial is None:
-            partial = self._partial_cache[key] = np.full(
-                len(self.similarity_suite), np.nan
-            )
-        return partial
+    def _cached_vector(self, key: tuple[str, str]) -> np.ndarray:
+        """The (shared, mutable) cached similarity vector of a normalized
+        pair; NaN entries mark similarities not yet computed."""
+        vector = self._value_cache.get(key)
+        if vector is None:
+            vector = self._value_cache[key] = np.full(len(self.similarity_suite), np.nan)
+        return vector
 
     def _bounds_for_keys(self, keys: list[tuple[str, str]]) -> np.ndarray:
         """Upper bounds of the expensive suite columns for normalized pairs.
@@ -350,10 +273,13 @@ class FeatureExtractor:
         """
         return PartialExtraction(self, pairs)
 
+    def cache_size(self) -> int:
+        """Entries held across the value-pair, normalization and bound caches."""
+        return len(self._value_cache) + len(self._norm_cache) + len(self._bound_cache)
+
     def clear_cache(self) -> None:
         """Drop the memoization caches (frees memory between datasets)."""
         self._value_cache.clear()
-        self._partial_cache.clear()
         self._bound_cache.clear()
         self._norm_cache.clear()
 
@@ -365,7 +291,9 @@ class PartialExtraction:
     all-NaN; :meth:`fill` computes the requested suite columns (for all rows
     or a subset) through the batched kernels, deduplicated per unique
     normalized value pair and memoized in the parent extractor's caches.
-    Filled cells are bit-identical to :meth:`FeatureExtractor.extract`.
+    Filled cells are the same whatever the order and row subsets of the
+    fills, so a cascade's staged fills match :meth:`FeatureExtractor.extract`
+    bitwise.
     """
 
     def __init__(self, extractor: FeatureExtractor, pairs: list[CandidatePair]):
@@ -432,12 +360,12 @@ class PartialExtraction:
                     # Missing-value rule: the whole vector is 0.
                     vector = np.zeros(suite_size)
                 else:
-                    vector = extractor._partial_vector(key)
-                    for func_index in wanted:
-                        if np.isnan(vector[func_index]):
-                            missing.setdefault(func_index, []).append(
-                                (vector, left_value, right_value)
-                            )
+                    vector = extractor._cached_vector(key)
+                    holes = columns_within[np.isnan(vector[columns_within])]
+                    for func_index in holes.tolist():
+                        missing.setdefault(func_index, []).append(
+                            (vector, left_value, right_value)
+                        )
                 resolved.append((vector, group_rows))
             for func_index, entries in missing.items():
                 values = batch_similarity(

@@ -77,7 +77,7 @@ from ..pipeline.matching import MatchingPipeline, MatchScore, coerce_record
 from ..scoring import CascadeScorer
 from ..telemetry import MetricsRegistry, span
 from .resolution import UnionFind, stable_clusters
-from .shards import ShardFanout, ShardPostings, ShardedPostings, shard_of
+from .shards import ShardPostings, ShardedPostings, shard_of
 from .storage import (
     Arena,
     GrowableMatrix,
@@ -151,11 +151,12 @@ def _npy_bytes(array: np.ndarray) -> bytes:
     return buffer.getvalue()
 
 
-#: Ceiling on the persistent extractor's value-pair cache.  Probe-side
-#: entries can never hit again (the cache key includes the probe's value),
-#: so a long-lived serving index would otherwise grow without bound; when
-#: the ceiling is crossed the caches are dropped and rebuilt lazily.
-#: Caches never affect scores, only speed.
+#: Ceiling on the persistent extractor's cache entries (value-pair,
+#: normalization and bound caches together).  Probe-side entries can never
+#: hit again (the cache key includes the probe's value), so a long-lived
+#: serving index would otherwise grow without bound; when the ceiling is
+#: crossed the caches are dropped and rebuilt lazily.  Caches never affect
+#: scores, only speed.
 EXTRACTOR_CACHE_LIMIT = 1 << 20
 
 #: Ceiling on the row → :class:`Record` decode cache.  Records decoded from
@@ -281,7 +282,6 @@ class MatchIndex:
         #: saved to; a clean payload's bytes are provably unchanged, so an
         #: in-place save skips re-serializing (and rewriting) it entirely.
         self._clean: dict[str, PayloadRef] = {}
-        self._fanout: ShardFanout | None = None
 
     # ------------------------------------------------------------- storage
     @property
@@ -321,21 +321,11 @@ class MatchIndex:
         for shard in shards:
             for name in shard_payload_names(shard):
                 self._clean.pop(name, None)
-        self._drop_fanout()
-
-    def _drop_fanout(self) -> None:
-        if self._fanout is not None:
-            self._fanout.close()
-            self._fanout = None
 
     def _sync_gauges(self) -> None:
         """Refresh the corpus gauges after any live/tombstone change."""
         self._metric_records.set(self._n_live)
         self._metric_tombstones.set(self._n_tombstones)
-
-    def close(self) -> None:
-        """Release the query fan-out pool (no-op for in-process indexes)."""
-        self._drop_fanout()
 
     # -------------------------------------------------------------- corpus
     def __len__(self) -> int:
@@ -708,21 +698,16 @@ class MatchIndex:
         self._record_cache.clear()
         self._shingle_sets.clear()
         self._clean = {}
-        self._drop_fanout()
         return int(reclaimed)
 
     # --------------------------------------------------------------- query
     def _collision_rows(self, keys: np.ndarray) -> np.ndarray:
         """Live rows colliding with the given band keys, ascending and unique.
 
-        Fans out across posting shards — via the persistent process pool for
-        a pristine artifact-backed index, in-process otherwise — and merges
-        with a union, which is shard-partition invariant.
+        Looks up every posting shard and merges with a union, which is
+        shard-partition invariant.
         """
-        if self._fanout is not None:
-            rows = self._fanout.collision_rows(np.asarray(keys, dtype=np.uint64))
-        else:
-            rows = self._postings.collision_rows(keys)
+        rows = self._postings.collision_rows(keys)
         if not len(rows):
             return rows
         return rows[self._live[rows]]
@@ -768,40 +753,8 @@ class MatchIndex:
 
     def _trim_extractor_cache(self) -> None:
         """Bound the persistent extractor's memoization against probe churn."""
-        value_cache = getattr(self._extractor, "_value_cache", None)
-        if value_cache is not None and len(value_cache) > EXTRACTOR_CACHE_LIMIT:
+        if self._extractor.cache_size() > EXTRACTOR_CACHE_LIMIT:
             self._extractor.clear_cache()
-
-    def _score_rows(
-        self, record: Record, rows: np.ndarray, min_score: float | None = None
-    ) -> list[MatchScore]:
-        """Score ``record`` against corpus rows with the pipeline's predictor.
-
-        Chunked like :meth:`MatchingPipeline.match` (chunking never changes
-        scores); one shared scoring cascade keeps the two paths bit-identical.
-        With ``min_score`` the cascade may drop candidates whose score is
-        provably below the floor without fully scoring them — exactly the
-        rows :meth:`_filter_scores` would discard anyway.
-        """
-        chunk_size = self.pipeline.config.chunk_size
-        row_list = rows.tolist()
-        results: list[MatchScore] = []
-        for start in range(0, len(row_list), chunk_size):
-            chunk_rows = row_list[start : start + chunk_size]
-            pairs = [CandidatePair(record, self._record_at(row)) for row in chunk_rows]
-            kept, scores, predictions = self._cascade.score_chunk(
-                pairs, floors=min_score
-            )
-            for offset, score, prediction in zip(kept.tolist(), scores, predictions):
-                results.append(
-                    MatchScore(
-                        left_id=record.record_id,
-                        right_id=pairs[offset].right.record_id,
-                        score=float(score),
-                        is_match=bool(prediction),
-                    )
-                )
-        return results
 
     @staticmethod
     def _filter_scores(
@@ -836,30 +789,13 @@ class MatchIndex:
         order), truncated to ``top_k``.
 
         A record with no usable text (all attributes missing/empty) collides
-        with nothing and returns ``[]``.
+        with nothing and returns ``[]``.  This is :meth:`query_batch` over a
+        one-record batch.
         """
-        if top_k is not None and top_k < 1:
-            raise ConfigurationError("top_k must be at least 1 or None")
         with span("index.query") as query_span:
-            probe = coerce_record(record)
-            hashes = self._computer.shingle_hashes(probe)
-            if hashes is None or not self._n_live:
-                return []
-            with span("query.block") as block_span:
-                signature = self._computer.signature_matrix([hashes])
-                keys = self._computer.band_hashes(signature)[0]
-                rows = self._collision_rows(keys)
-                block_span.annotate(collisions=int(len(rows)))
-            with span("query.verify") as verify_span:
-                rows = self._verify_rows(signature.astype(np.uint16), hashes, rows)
-                verify_span.annotate(candidates=int(len(rows)))
-            if not len(rows):
-                return []
-            with span("query.score"):
-                results = self._score_rows(probe, rows, min_score)
+            results = self.query_batch([record], top_k, min_score)[0]
             query_span.annotate(results=len(results))
-            self._trim_extractor_cache()
-            return self._filter_scores(results, top_k, min_score)
+            return results
 
     @staticmethod
     def _broadcast_option(name: str, value, count: int) -> list:
@@ -906,29 +842,38 @@ class MatchIndex:
             return results
 
         hashes_list = [self._computer.shingle_hashes(probe) for probe in probes]
+        usable = (
+            [i for i, hashes in enumerate(hashes_list) if hashes is not None]
+            if self._n_live
+            else []
+        )
+        with span("query.block") as block_span:
+            signatures = None
+            collided: list[np.ndarray] = []
+            if usable:
+                signatures = self._computer.signature_matrix(
+                    [hashes_list[i] for i in usable]
+                )
+                collided = [
+                    self._collision_rows(keys)
+                    for keys in self._computer.band_hashes(signatures)
+                ]
+            block_span.annotate(
+                probes=len(probes), collisions=sum(len(rows) for rows in collided)
+            )
         pairs: list[CandidatePair] = []
         owners: list[int] = []
-        with span("query.block") as block_span:
-            if self._n_live:
-                usable = [
-                    i for i, hashes in enumerate(hashes_list) if hashes is not None
-                ]
-                if usable:
-                    signatures = self._computer.signature_matrix(
-                        [hashes_list[i] for i in usable]
-                    )
-                    keys = self._computer.band_hashes(signatures)
-                    for offset, i in enumerate(usable):
-                        rows = self._collision_rows(keys[offset])
-                        rows = self._verify_rows(
-                            signatures[offset : offset + 1].astype(np.uint16),
-                            hashes_list[i],
-                            rows,
-                        )
-                        for row in rows.tolist():
-                            pairs.append(CandidatePair(probes[i], self._record_at(row)))
-                            owners.append(i)
-            block_span.annotate(probes=len(probes), candidates=len(pairs))
+        with span("query.verify") as verify_span:
+            for offset, (i, rows) in enumerate(zip(usable, collided)):
+                rows = self._verify_rows(
+                    signatures[offset : offset + 1].astype(np.uint16),
+                    hashes_list[i],
+                    rows,
+                )
+                for row in rows.tolist():
+                    pairs.append(CandidatePair(probes[i], self._record_at(row)))
+                    owners.append(i)
+            verify_span.annotate(candidates=len(pairs))
 
         chunk_size = self.pipeline.config.chunk_size
         with span("query.score"):
@@ -1173,7 +1118,6 @@ class MatchIndex:
         cls,
         path,
         mmap: bool = True,
-        query_jobs: int = 1,
         registry: MetricsRegistry | None = None,
     ) -> "MatchIndex":
         """Reload a persisted index (pipeline included) from an artifact.
@@ -1185,11 +1129,6 @@ class MatchIndex:
         ``load`` returns.  Version-1 artifacts load through the legacy
         pickled-state path and upgrade to the columnar layout on the next
         :meth:`save`.
-
-        With ``query_jobs > 1`` on a multi-shard artifact, candidate lookups
-        fan out over a persistent process pool whose workers memory-map the
-        posting shards independently; the fan-out is dropped on the first
-        mutation (workers only see the immutable artifact bytes).
 
         Raises :class:`~repro.exceptions.ArtifactError` when the artifact
         carries no index payloads, the payload version is unsupported, or
@@ -1224,16 +1163,6 @@ class MatchIndex:
             index._install_legacy_state(state)
             return index
         index._install_payloads(directory, manifest, section, mmap=mmap)
-        if query_jobs > 1 and index.config.shards > 1:
-            shard_paths = [
-                tuple(
-                    read_payload_path(directory, name, manifest)[0]
-                    for name in shard_payload_names(shard_index)
-                )
-                for shard_index in range(index.config.shards)
-            ]
-            index._fanout = ShardFanout(shard_paths, index.config.bands, query_jobs)
-            index._fanout.lookup_timer = index._metric_lookup
         return index
 
     def _install_payloads(

@@ -28,13 +28,6 @@ read lock while queries keep flowing) sees at worst duplicated hits —
 removed again by the caller's ``np.unique`` — never missing ones.  Freezes
 themselves serialize on a per-shard mutex, so two read-locked freeze paths
 (a snapshot's save racing ``/stats``) cannot both merge the same delta.
-
-For corpora big enough that scanning many shards in one process dominates,
-:class:`ShardFanout` queries artifact-backed shards through a persistent
-process pool (the runner's worker discipline): each worker memory-maps its
-shards' CSR files once and answers lookups from the page cache.  The fan-out
-merges candidates through the same union, so it stays bit-identical to the
-in-process path.
 """
 
 from __future__ import annotations
@@ -42,11 +35,10 @@ from __future__ import annotations
 import threading
 import zlib
 from contextlib import nullcontext
-from pathlib import Path
 
 import numpy as np
 
-__all__ = ["ShardFanout", "ShardPostings", "ShardedPostings", "shard_of"]
+__all__ = ["ShardPostings", "ShardedPostings", "shard_of"]
 
 #: Reusable stand-in for an un-attached lookup timer (see ``lookup_timer``).
 _NO_TIMER = nullcontext()
@@ -327,85 +319,3 @@ class ShardedPostings:
     def mapped_bytes(self) -> int:
         return sum(shard.mapped_bytes for shard in self.shards)
 
-
-# ---------------------------------------------------------------- fan-out
-#: Worker-side cache: (keys_path, rows_path, offsets_path) → mmap'd arrays.
-#: Persistent across lookups, so each worker pays the (tiny) np.load header
-#: parse once per shard and serves every later probe from the page cache.
-_WORKER_SHARDS: dict[tuple[str, str, str], tuple] = {}
-
-
-def _init_fanout_worker() -> None:
-    global _WORKER_SHARDS
-    _WORKER_SHARDS = {}
-
-
-def _fanout_lookup(task: tuple) -> np.ndarray:
-    """Worker: collision rows of one shard for one probe (concatenated)."""
-    paths, bands, probe_keys = task
-    cached = _WORKER_SHARDS.get(paths)
-    if cached is None:
-        keys_path, rows_path, offsets_path = paths
-        cached = _WORKER_SHARDS[paths] = (
-            np.load(keys_path, mmap_mode="r"),
-            np.load(rows_path, mmap_mode="r"),
-            np.asarray(np.load(offsets_path)),
-        )
-    keys, rows, offsets = cached
-    hits: list[np.ndarray] = []
-    for band in range(bands):
-        lo, hi = int(offsets[band]), int(offsets[band + 1])
-        if hi > lo:
-            segment = keys[lo:hi]
-            left = int(np.searchsorted(segment, probe_keys[band], side="left"))
-            right = int(np.searchsorted(segment, probe_keys[band], side="right"))
-            if right > left:
-                hits.append(np.asarray(rows[lo + left : lo + right]))
-    if not hits:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(hits)
-
-
-class ShardFanout:
-    """Parallel shard lookups over a persistent process pool.
-
-    Only valid for a *pristine* artifact-backed index (no mutations since
-    load): workers answer from the artifact's immutable CSR files, so any
-    in-process delta would be invisible to them.  :class:`~repro.index.MatchIndex`
-    drops the fan-out on the first mutation and falls back in-process.
-    """
-
-    def __init__(self, shard_paths: list[tuple[Path, Path, Path]], bands: int, jobs: int):
-        self._paths = [tuple(str(p) for p in triple) for triple in shard_paths]
-        self._bands = bands
-        self.jobs = max(1, min(jobs, len(shard_paths)))
-        self._pool = None
-        #: Same injectable timing hook as :attr:`ShardedPostings.lookup_timer`
-        #: — one observation per probe covering the full fan-out round trip.
-        self.lookup_timer = None
-
-    def _executor(self):
-        if self._pool is None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.jobs, initializer=_init_fanout_worker
-            )
-        return self._pool
-
-    def collision_rows(self, probe_keys: np.ndarray) -> np.ndarray:
-        """Union of posting hits across all shards (unique, ascending)."""
-        timer = self.lookup_timer
-        with timer.time() if timer is not None else _NO_TIMER:
-            tasks = [(paths, self._bands, probe_keys) for paths in self._paths]
-            hits = [
-                rows for rows in self._executor().map(_fanout_lookup, tasks) if len(rows)
-            ]
-            if not hits:
-                return np.empty(0, dtype=np.int64)
-            return np.unique(np.concatenate(hits))
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None

@@ -473,22 +473,6 @@ def load_pipeline(path) -> MatchingPipeline:
 
 
 # --------------------------------------------------------- worker plumbing
-def _score_pairs(
-    predictor, extractor, chunk: list[CandidatePair]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Score one chunk of candidate pairs: ``(probabilities, predictions)``.
-
-    The single scoring contract shared by the in-process and worker paths —
-    the jobs-independence guarantee relies on both using exactly this code.
-    """
-    from ..harness.preparation import extract_feature_matrix
-
-    matrix = extract_feature_matrix(extractor, chunk)
-    scores = np.asarray(predictor.predict_proba(matrix), dtype=float)
-    predictions = np.asarray(predictor.predict(matrix), dtype=np.int64)
-    return scores, predictions
-
-
 #: Per-worker inference state, installed once by the pool initializer so the
 #: (potentially large) predictor is deserialized once per process, not once
 #: per chunk.

@@ -18,9 +18,10 @@
 
 Pruning only engages when an explicit floor exists (a caller ``min_score``,
 ``accept_only=True`` from entity resolution, or mode ``"on"``'s implicit
-acceptance threshold) *and* the predictor is provably linear; otherwise the
-cascade still uses staged extraction but scores every candidate.  See
-``docs/scoring.md`` for the exact contract.
+acceptance threshold) *and* the predictor is provably linear, and never in
+mode ``"off"``; otherwise the chunk's features come from one batched
+``extract`` call and every candidate is scored.  See ``docs/scoring.md``
+for the exact contract.
 """
 
 from __future__ import annotations
@@ -61,9 +62,9 @@ class CascadeScorer:
         The trained predictor (any learner or ensemble with
         ``predict`` / ``predict_proba``).
     extractor:
-        The feature extractor.  Staging requires the continuous
+        The feature extractor.  Pruning requires the continuous
         :class:`FeatureExtractor`; any other kind (e.g. the Boolean rule
-        extractor) always takes the legacy full path.
+        extractor) always has every candidate scored.
     config:
         :class:`~repro.core.config.CascadeConfig`; ``None`` means defaults
         (mode ``"auto"``).
@@ -97,10 +98,8 @@ class CascadeScorer:
             "repro_cascade_fully_scored_total",
             "Candidates fully scored by the real predictor",
         )
-        self._staged = self.config.mode != "off" and isinstance(
-            extractor, FeatureExtractor
-        )
-        self.analysis = analyze_predictor(predictor) if self._staged else None
+        prunable = self.config.mode != "off" and isinstance(extractor, FeatureExtractor)
+        self.analysis = analyze_predictor(predictor) if prunable else None
         if self.analysis is not None and len(self.analysis.weights) != extractor.dim:
             # Dimensionality mismatch (shouldn't happen for a consistent
             # pipeline) — never prune on weights we can't line up.
@@ -171,19 +170,17 @@ class CascadeScorer:
             )
         floor_values = _normalize_floors(floors, count)
         accept_prune = accept_only or self.config.mode == "on"
-        if not self._staged:
-            scores, predictions = self._score_legacy(chunk)
-            self._count(count, 0, count)
-            return np.arange(count, dtype=np.int64), scores, predictions
         if self.analysis is None or (not accept_prune and floor_values is None):
-            # Staged extraction without pruning: every column through the
-            # batched kernels, every row scored.
+            # No pruning: every column through one batched extract call,
+            # every row scored.
             with span("cascade.extract") as extract_span:
-                plan = self.extractor.begin_partial(chunk)
-                plan.fill_all()
+                features = self.extractor.extract(chunk)
+                # The continuous extractor wraps its matrix, the Boolean
+                # one returns it bare.
+                matrix = getattr(features, "matrix", features)
                 extract_span.annotate(candidates=count)
             with span("cascade.predict"):
-                scores, predictions = self._predict(plan.matrix)
+                scores, predictions = self._predict(matrix)
             self._count(count, 0, count)
             return np.arange(count, dtype=np.int64), scores, predictions
 
@@ -249,9 +246,3 @@ class CascadeScorer:
         scores = np.asarray(self.predictor.predict_proba(matrix), dtype=float)
         predictions = np.asarray(self.predictor.predict(matrix), dtype=np.int64)
         return scores, predictions
-
-    def _score_legacy(self, chunk) -> tuple[np.ndarray, np.ndarray]:
-        """Mode "off" / non-continuous extractors: the original scalar path."""
-        result = self.extractor.extract(chunk)
-        matrix = result.matrix if hasattr(result, "matrix") else result
-        return self._predict(matrix)

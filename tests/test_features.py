@@ -11,6 +11,8 @@ from repro.features import (
 )
 from repro.similarity import DEFAULT_SIMILARITY_SUITE, RULE_SIMILARITY_SUITE
 
+from .oracles import scalar_features
+
 
 def make_pair(left_attrs, right_attrs, label=None):
     pair = CandidatePair(Record("l", left_attrs), Record("r", right_attrs))
@@ -31,21 +33,21 @@ class TestFeatureExtractor:
 
     def test_identical_pair_scores_high(self):
         extractor = FeatureExtractor(["name"])
-        vector = extractor.extract_pair(make_pair({"name": "sony camera"}, {"name": "sony camera"}))
+        vector = extractor.extract([make_pair({"name": "sony camera"}, {"name": "sony camera"})]).matrix[0]
         assert vector.shape == (extractor.dim,)
         assert np.all(vector >= 0.99)
 
     def test_missing_value_gives_zero_features(self):
         extractor = FeatureExtractor(["name", "price"])
-        vector = extractor.extract_pair(make_pair({"name": "sony", "price": ""}, {"name": "sony", "price": "10"}))
+        vector = extractor.extract([make_pair({"name": "sony", "price": ""}, {"name": "sony", "price": "10"})]).matrix[0]
         price_block = vector[len(DEFAULT_SIMILARITY_SUITE):]
         assert np.all(price_block == 0.0)
 
     def test_all_features_bounded(self):
         extractor = FeatureExtractor(["name"])
-        vector = extractor.extract_pair(
-            make_pair({"name": "canon eos digital"}, {"name": "nikon coolpix"})
-        )
+        vector = extractor.extract(
+            [make_pair({"name": "canon eos digital"}, {"name": "nikon coolpix"})]
+        ).matrix[0]
         assert np.all(vector >= 0.0)
         assert np.all(vector <= 1.0)
 
@@ -73,10 +75,14 @@ class TestFeatureExtractor:
 
     def test_cache_is_used_and_clearable(self):
         extractor = FeatureExtractor(["name"])
-        extractor.extract_pair(make_pair({"name": "sony"}, {"name": "sony"}))
+        extractor.extract([make_pair({"name": "sony"}, {"name": "sony"})])
+        # One value pair, fully filled, in the single value-pair cache.
         assert len(extractor._value_cache) == 1
+        assert not np.isnan(extractor._value_cache[("sony", "sony")]).any()
+        assert extractor.cache_size() == 2  # plus the one normalized value
         extractor.clear_cache()
         assert len(extractor._value_cache) == 0
+        assert extractor.cache_size() == 0
 
     def test_requires_columns(self):
         with pytest.raises(FeatureExtractionError):
@@ -97,8 +103,7 @@ class TestFeatureExtractor:
             make_pair({"name": "", "price": "10"}, {"name": "sony", "price": "10"}),
         ]
         batch = FeatureExtractor(["name", "price"]).extract(pairs).matrix
-        scalar_extractor = FeatureExtractor(["name", "price"])
-        scalar = np.vstack([scalar_extractor.extract_pair(pair) for pair in pairs])
+        scalar = scalar_features(pairs, ["name", "price"])
         np.testing.assert_array_equal(batch, scalar)
 
     def test_matching_pairs_score_higher_than_nonmatching(self, tiny_prepared):

@@ -202,6 +202,42 @@ class TestQueryBatch:
             index.query_batch(probes[:2], min_score=[0.5, 0.5, 0.5])
 
 
+def cache_entries(extractor) -> int:
+    """Entries across every memoization cache the extractor holds."""
+    return sum(
+        len(cache)
+        for name, cache in vars(extractor).items()
+        if name.endswith("_cache") and isinstance(cache, dict)
+    )
+
+
+class TestExtractorCacheBound:
+    """A serving index sees an endless stream of unseen probe values; the
+    persistent extractor's caches must stay under ``EXTRACTOR_CACHE_LIMIT``
+    instead of growing with every distinct value ever queried."""
+
+    def test_unique_probe_churn_levels_off(self, fitted, corpus, probes, monkeypatch):
+        import repro.index.match_index as match_index
+
+        limit = 500
+        monkeypatch.setattr(match_index, "EXTRACTOR_CACHE_LIMIT", limit)
+        index = MatchIndex(fitted)
+        index.add(corpus)
+        totals = []
+        for i in range(300):
+            base = probes[i % len(probes)]
+            attributes = dict(base.attributes)
+            attributes["title"] = f"{base.value('title')} churn{i}"
+            index.query(Record(f"churn-{i}", attributes))
+            totals.append(cache_entries(index._extractor))
+        # The probes really fed the caches: without a bound they would hold
+        # several times the limit, and the trim fired along the way.
+        assert sum(max(b - a, 0) for a, b in zip(totals, totals[1:])) > 3 * limit
+        assert any(b < a for a, b in zip(totals, totals[1:]))
+        assert max(totals) <= limit
+        assert index._extractor.cache_size() == totals[-1]
+
+
 class TestEmptyInputs:
     def test_empty_index_returns_no_results(self, fitted, probes):
         index = MatchIndex(fitted)

@@ -190,19 +190,6 @@ class TestMmapPersistence:
         for probe in probes[:5]:
             assert score_rows(loaded.query(probe)) == score_rows(index.query(probe))
 
-    def test_fanout_queries_match_in_process(self, saved, probes):
-        index, path = saved
-        fanned = MatchIndex.load(path, query_jobs=2)
-        assert fanned._fanout is not None
-        try:
-            for probe in probes[:5]:
-                assert score_rows(fanned.query(probe)) == score_rows(index.query(probe))
-            # First mutation drops the fan-out (workers only see artifact bytes).
-            fanned.add([{"record_id": "fanout-new", "title": "entity resolution"}])
-            assert fanned._fanout is None
-        finally:
-            fanned.close()
-
     def test_loaded_index_stays_updatable(self, saved, probes):
         _, path = saved
         loaded = MatchIndex.load(path)

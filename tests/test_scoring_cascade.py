@@ -4,12 +4,13 @@ Four layers, mirroring the cascade's proof obligations (``docs/scoring.md``):
 
 * **Bounds** — every expensive measure's upper-bound companion dominates the
   exact similarity on a seed matrix and under Hypothesis.
-* **Partial extraction** — ``begin_partial`` + ``fill_all`` reproduces
-  ``extract`` bitwise, in any fill order, for any fill subset union.
-* **Scorer equivalence** — for *every* registered learner, cascade-on
-  accepted pairs and survivor scores are bit-identical to cascade-off;
-  linear learners exercise the bound-pruning path, everything else the
-  exact full-extraction fallback.
+* **Partial extraction** — ``begin_partial`` + ``fill_all`` reproduces the
+  scalar oracle (``tests/oracles.py``) bitwise, in any fill order, for any
+  fill subset union.
+* **Scorer equivalence** — for *every* registered learner and every mode,
+  accepted pairs and survivor scores are bit-identical to the scalar
+  oracle; linear learners exercise the bound-pruning path, everything else
+  the exact full-extraction fallback.
 * **End-to-end parity** — ``MatchingPipeline.match(min_score=...)`` and
   ``MatchIndex.query``/``query_batch``/``resolve`` agree across modes.
 """
@@ -44,10 +45,11 @@ from repro.learners import (
     RandomForest,
 )
 from repro.pipeline import MatchingPipeline
-from repro.pipeline.matching import _score_pairs
 from repro.scoring import CascadeScorer, analyze_predictor
 from repro.similarity import get_similarity_function
 from repro.similarity.bounds import UPPER_BOUND_NAMES, upper_bound, upper_bound_matrix
+
+from .oracles import scalar_features, scalar_scores
 
 texts = st.text(alphabet=string.ascii_lowercase + " 0123456789", max_size=60)
 
@@ -141,7 +143,10 @@ class TestPartialExtraction:
 
     def test_fill_all_matches_extract_bitwise(self):
         pairs = _candidate_pairs()
-        reference = FeatureExtractor(["name", "description"]).extract(pairs).matrix
+        reference = scalar_features(pairs, ["name", "description"])
+        assert np.array_equal(
+            FeatureExtractor(["name", "description"]).extract(pairs).matrix, reference
+        )
         extractor = FeatureExtractor(["name", "description"])
         plan = extractor.begin_partial(pairs)
         plan.fill_all()
@@ -149,7 +154,7 @@ class TestPartialExtraction:
 
     def test_staged_fill_matches_extract_bitwise(self):
         pairs = _candidate_pairs(seed=9)
-        reference = FeatureExtractor(["name", "description"]).extract(pairs).matrix
+        reference = scalar_features(pairs, ["name", "description"])
         extractor = FeatureExtractor(["name", "description"])
         plan = extractor.begin_partial(pairs)
         plan.fill(extractor.cheap_suite_indices)
@@ -201,8 +206,8 @@ class TestScorerEquivalence:
         predictor = fitted_learners[key]
         extractor = FeatureExtractor(["name", "description"])
         chunk = _candidate_pairs(seed=11, count=50)
-        ref_scores, ref_predictions = _score_pairs(
-            predictor, FeatureExtractor(["name", "description"]), chunk
+        ref_scores, ref_predictions = scalar_scores(
+            predictor, ["name", "description"], chunk
         )
         for mode in ("off", "auto", "on"):
             for floors_chunk in (None, 0.5, ([None, 0.3, 0.9] * 17)[:50]):
